@@ -83,6 +83,58 @@ def _stage_register_width(max_abs: int, acc_width: int) -> int:
     return max(2, min(acc_width, int(max_abs).bit_length() + 1))
 
 
+def _sample_register_widths(ref: np.ndarray, acc_width: int) -> np.ndarray:
+    """Per-sample sum-register widths of a stage tensor (axis 0 = samples).
+
+    Sample ``s``'s register is sized to its own dynamic range,
+    ``clip(bit_length(max |ref[s]|) + 1, 2, acc_width)``.  The largest
+    magnitude is ``max(ref[s].max(), -ref[s].min())``, so no ``|ref|``
+    temporary is allocated.
+    """
+    axes = tuple(range(1, ref.ndim))
+    low = ref.min(axis=axes, initial=0)
+    peak = np.maximum(ref.max(axis=axes, initial=1), -low)
+    wrapped = low == np.iinfo(ref.dtype).min
+    if wrapped.any():
+        # -min wraps for the dtype's most negative value; keep np.abs's
+        # wrap-around semantics (that value never wins the maximum).
+        peak[wrapped] = np.abs(ref[wrapped]).max(axis=axes, initial=1)
+    return np.clip(bit_lengths(peak) + 1, 2, acc_width)
+
+
+class _StageWidths:
+    """Sum-register widths of one stage tensor, computed on first use.
+
+    Every site that reads the same (unmodified) stage shares one
+    instance, so the stage is scanned at most once per forward — and not
+    at all when none of its sites drew events.
+
+    Stream scheme: one batch-wide scalar width (legacy semantics).
+    Counter scheme: each event's register is sized to its *own sample's*
+    maximum, so a fault's delta never depends on which other samples
+    share the batch (partition invariance).
+    """
+
+    __slots__ = ("_ref", "_acc_width", "_per_sample", "_widths")
+
+    def __init__(self, ref: np.ndarray, acc_width: int, per_sample: bool):
+        self._ref = ref
+        self._acc_width = acc_width
+        self._per_sample = per_sample
+        self._widths = None
+
+    def of(self, events):
+        """Width per event of ``events`` (counter) or the scalar width (stream)."""
+        if self._widths is None:
+            if self._per_sample:
+                self._widths = _sample_register_widths(self._ref, self._acc_width)
+            else:
+                self._widths = _stage_register_width(
+                    int(np.abs(self._ref).max(initial=1)), self._acc_width
+                )
+        return self._widths[events.img] if self._per_sample else self._widths
+
+
 def register_scale_pow(max_abs: int, width: int) -> int:
     """LSB exponent of a ``width``-bit register sized to hold ``max_abs``.
 
@@ -231,20 +283,9 @@ class OperationLevelInjector(ReplayHooks, Injector):
         self.capped = self.capped or self._sampler.capped
         return events
 
-    def _stage_widths(self, ref: np.ndarray, acc_width: int, events):
-        """Sum-register width(s) for ``events``, sized to ``ref``'s range.
-
-        Stream scheme: one batch-wide scalar width (legacy semantics).
-        Counter scheme: each event's register is sized to its *own
-        sample's* maximum, so a fault's delta never depends on which other
-        samples share the batch (partition invariance).
-        """
-        if self._sampler is None:
-            return _stage_register_width(int(np.abs(ref).max(initial=1)), acc_width)
-        axes = tuple(range(1, ref.ndim))
-        per_sample = np.abs(ref).max(axis=axes, initial=1)
-        widths = np.clip(bit_lengths(per_sample) + 1, 2, acc_width)
-        return widths[events.img]
+    def _stage(self, ref: np.ndarray, acc_width: int) -> _StageWidths:
+        """Lazy register widths of the stage tensor ``ref`` for this scheme."""
+        return _StageWidths(ref, acc_width, per_sample=self._sampler is not None)
 
     @staticmethod
     def _register_deltas(values, widths, events):
@@ -340,7 +381,7 @@ class OperationLevelInjector(ReplayHooks, Injector):
             return
         img = events.img
         (idx,) = events.coords
-        widths = self._stage_widths(acc_flat, layer.acc_width, events)
+        widths = self._stage(acc_flat, layer.acc_width).of(events)
         # Sign from the final accumulator value's bit: exact for the last
         # addition of the chain, an unbiased approximation for earlier ones.
         deltas = self._register_deltas(acc_flat[img, idx], widths, events)
@@ -366,14 +407,21 @@ class OperationLevelInjector(ReplayHooks, Injector):
             prefix = f"sub{sub_index}:"
 
             pad = _TilePadAccumulator(y_scaled, grid)
+            # Faults accumulate in ``pad`` until the flush, so M and Y stay
+            # unmodified across all of this sub-conv's sites: each stage's
+            # widths are computed once and shared by the sites reading it.
+            m_widths = self._stage(m_arr, layer.acc_width)
+            y_widths = self._stage(y_scaled, layer.acc_width)
 
             self._wg_muls_and_acc_adds(
-                layer, prefix, u, v, m_arr, at, pad, n, k_out, c_in, tiles, t
+                layer, prefix, u, v, m_arr, m_widths, at, pad,
+                n, k_out, c_in, tiles, t,
             )
             self._wg_input_adds(
-                layer, prefix, u, v, m_arr, bt, at, pad, n, k_out, c_in, tiles, t, m
+                layer, prefix, u, v, m_arr, m_widths, bt, at, pad,
+                n, k_out, c_in, tiles, t, m,
             )
-            self._wg_output_adds(layer, prefix, tf, y_scaled, pad, n, k_out, tiles, t, m)
+            self._wg_output_adds(layer, prefix, tf, y_widths, pad, n, k_out, tiles, t, m)
             pad.flush()
 
         # Sub-conv recombination + bias additions act on the final summed output.
@@ -387,10 +435,8 @@ class OperationLevelInjector(ReplayHooks, Injector):
         )
 
     def _wg_muls_and_acc_adds(
-        self, layer, prefix, u, v, m_arr, at, pad, n, k_out, c_in, tiles, t
+        self, layer, prefix, u, v, m_arr, m_widths, at, pad, n, k_out, c_in, tiles, t
     ):
-        acc_width = layer.acc_width
-
         # --- element-wise multiplications ---------------------------------------
         events = self._site_events(
             layer.name,
@@ -423,12 +469,12 @@ class OperationLevelInjector(ReplayHooks, Injector):
             img = events.img
             kk, tl, ii, jj = events.coords
             m_vals = m_arr[img, kk, tl, ii, jj]
-            widths = self._stage_widths(m_arr, acc_width, events)
-            deltas = self._register_deltas(m_vals, widths, events)
+            deltas = self._register_deltas(m_vals, m_widths.of(events), events)
             pad.add_rank1(img, kk, tl, deltas, at[:, ii], at[:, jj])
 
     def _wg_input_adds(
-        self, layer, prefix, u, v, m_arr, bt, at, pad, n, k_out, c_in, tiles, t, m
+        self, layer, prefix, u, v, m_arr, m_widths, bt, at, pad,
+        n, k_out, c_in, tiles, t, m,
     ):
         """Input-transform addition faults.
 
@@ -444,7 +490,6 @@ class OperationLevelInjector(ReplayHooks, Injector):
         """
         per_vector = int(np.maximum((bt != 0).sum(axis=1) - 1, 0).sum())
         pass_ops = c_in * tiles * per_vector * t  # per sample, per pass
-        acc_width = layer.acc_width
 
         if not self.config.amplify_input_transform_adds:
             # Additive-chain locality (paper semantics): the perturbation is a
@@ -466,12 +511,12 @@ class OperationLevelInjector(ReplayHooks, Injector):
                 return
             img = events.img
             kk, tl, ii, jj = events.coords
-            widths = self._stage_widths(m_arr, acc_width, events)
             base_vals = m_arr[img, kk, tl, ii, jj]
-            deltas = self._register_deltas(base_vals, widths, events)
+            deltas = self._register_deltas(base_vals, m_widths.of(events), events)
             pad.add_rank1(img, kk, tl, deltas, at[:, ii], at[:, jj])
             return
 
+        u_widths = self._stage(u, layer.acc_width)
         for pass_idx in (1, 2):
             events = self._site_events(
                 layer.name,
@@ -486,9 +531,8 @@ class OperationLevelInjector(ReplayHooks, Injector):
                 continue
             img = events.img
             cc, tl, uu, vv = events.coords
-            u_widths = self._stage_widths(u, acc_width, events)
             base_vals = u[img, cc, tl, uu, vv]
-            deltas = self._register_deltas(base_vals, u_widths, events)
+            deltas = self._register_deltas(base_vals, u_widths.of(events), events)
 
             for f in range(len(events)):
                 delta = int(deltas[f])
@@ -506,11 +550,10 @@ class OperationLevelInjector(ReplayHooks, Injector):
                 dy = np.einsum("ui,kij,vj->kuv", at, dm, at)
                 pad.add_tile_all_k(int(img[f]), int(tl[f]), dy)
 
-    def _wg_output_adds(self, layer, prefix, tf, y_scaled, pad, n, k_out, tiles, t, m):
+    def _wg_output_adds(self, layer, prefix, tf, y_widths, pad, n, k_out, tiles, t, m):
         """Output-transform faults: row (pass 1) or element (pass 2) updates."""
         at = tf.at_int.astype(np.int64)
         per_vector = int(np.maximum((at != 0).sum(axis=1) - 1, 0).sum())
-        y_flat = y_scaled.reshape(n, -1)
 
         # Pass 1: P = AT M, shape (m, t): per tile per k, t applications.
         events = self._site_events(
@@ -526,8 +569,7 @@ class OperationLevelInjector(ReplayHooks, Injector):
         if events is not None:
             img = events.img
             kk, tl, uu, vv = events.coords
-            widths = self._stage_widths(y_flat, layer.acc_width, events)
-            bits = events.bits(widths)
+            bits = events.bits(y_widths.of(events))
             deltas = events.signs() * (np.int64(1) << bits)
             # dY[u, w] = delta * A[v, w] = delta * at[w, v]
             rows = deltas[:, None] * at[:, vv].T  # (F, m)
@@ -547,8 +589,7 @@ class OperationLevelInjector(ReplayHooks, Injector):
         if events is not None:
             img = events.img
             kk, tl, uu, ww = events.coords
-            widths = self._stage_widths(y_flat, layer.acc_width, events)
-            bits = events.bits(widths)
+            bits = events.bits(y_widths.of(events))
             deltas = events.signs() * (np.int64(1) << bits)
             pad.add_element(img, kk, tl, uu, ww, deltas)
 

@@ -5,7 +5,11 @@ sequential PCG64 stream, so a draw's value depends on its *position* —
 visit order, batch boundaries and sample partitioning all shift the
 stream.  This module implements the ``"counter"`` scheme: every draw is a
 pure function of ``(campaign seed, layer, site, sample chunk)``, realized
-as keyed Philox streams (:func:`repro.utils.rng.site_rng`).
+as keyed Philox streams (:func:`repro.utils.rng.site_rng`, the spec).
+Each stream's Philox key is derived once per (seed, layer, site, chunk)
+by the memoized :func:`repro.utils.rng.site_key`; a sampler re-keys one
+long-lived Philox generator to that key at counter 0 instead of building a
+new generator, which yields exactly the ``site_rng`` stream.
 
 Sampling protocol
 -----------------
@@ -51,7 +55,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import FaultModelError
-from repro.utils.rng import site_rng
+from repro.utils.rng import site_key
 
 __all__ = [
     "SiteEvents",
@@ -70,20 +74,22 @@ __all__ = [
 _POISSON_LAM_MAX = 9.0e18
 
 
+#: ``2**0 .. 2**62``: ``bit_lengths`` counts the entries ``<= x``.
+_POWERS_OF_TWO = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))
+
+
 def bit_lengths(values: np.ndarray) -> np.ndarray:
     """Vectorized ``int.bit_length`` for non-negative int64 arrays.
 
-    Implemented with integer shifts (no float log) so boundary powers of
-    two are exact for the full int64 range.
+    One exact integer ``searchsorted`` against the powers ``2**0 ..
+    2**62`` (no float log), so boundary powers of two are exact for the
+    full int64 range.
     """
-    x = np.asarray(values, dtype=np.int64).copy()
-    if np.any(x < 0):
+    x = np.asarray(values, dtype=np.int64)
+    if x.size and x.min() < 0:
         raise FaultModelError("bit_lengths requires non-negative values")
-    out = np.zeros(x.shape, dtype=np.int64)
-    while np.any(x > 0):
-        out[x > 0] += 1
-        x >>= np.int64(1)
-    return out
+    lengths = np.searchsorted(_POWERS_OF_TWO, x, side="right")
+    return lengths.astype(np.int64, copy=False)
 
 
 class SiteEvents:
@@ -233,6 +239,9 @@ class CounterSampler:
         self._batch_start = int(sample_base)
         self._next_start = int(sample_base)
         self._rows: np.ndarray | None = None
+        # One generator for every chunk stream: _chunk_head re-keys it.
+        self._rng = np.random.Generator(np.random.Philox(0))
+        self._fresh_state = self._rng.bit_generator.state
 
     def begin_batch(self, batch_size: int) -> None:
         """Advance to the next forward batch of ``batch_size`` samples."""
@@ -265,7 +274,8 @@ class CounterSampler:
         """Draws 1–2 of one chunk's protocol: its stream, samples hit.
 
         Returns ``(rng, samples)`` where ``rng`` is the chunk's keyed
-        stream positioned *after* the count and offset draws and
+        stream positioned *after* the count and offset draws (the
+        sampler's one generator, valid until the next call re-keys it) and
         ``samples`` the global sample index per event (``None`` when the
         chunk drew no events).  The single source of the count/cap/offset
         sequence: :meth:`site_events` continues drawing coordinates and
@@ -281,7 +291,13 @@ class CounterSampler:
                 f"({_POISSON_LAM_MAX:.1e}); the BER or the site's op census "
                 "is corrupt"
             )
-        rng = site_rng(self.seed, layer_name, site, int(index))
+        # Counter 0 under the chunk's key: the site_rng stream of the same
+        # labels, without building a new generator.
+        self._fresh_state["state"]["key"] = site_key(
+            self.seed, layer_name, site, int(index)
+        )
+        rng = self._rng
+        rng.bit_generator.state = self._fresh_state
         count = int(rng.poisson(lam))
         if count > cap:
             count = cap

@@ -15,6 +15,9 @@ requires that every stochastic component draw from an explicitly seeded
   or on different processes — and always see the same values, which is what
   makes fault sampling partition-invariant (see
   :mod:`repro.faultsim.sampling`).
+* :func:`site_key` is the key derivation behind :func:`site_rng`, memoized:
+  hot callers re-key one long-lived Philox generator with it instead of
+  building a fresh generator per stream.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["as_rng", "spawn_rng", "site_rng", "RngFactory"]
+__all__ = ["as_rng", "spawn_rng", "site_key", "site_rng", "RngFactory"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -56,6 +59,34 @@ def _label_to_int(label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+@functools.lru_cache(maxsize=4096)
+def site_key(seed: int, *labels: int | str) -> np.ndarray:
+    """Philox key of the counter-based stream named ``(seed, *labels)``.
+
+    Returns a read-only ``(2,)`` uint64 array: the key a
+    ``Philox(seed=SeedSequence([domain, seed, *labels]))`` generator would
+    draw, with string labels hashed stably (SHA-256) and integer labels
+    used directly.  A Philox generator at counter 0 under this key is the
+    stream :func:`site_rng` returns, so re-keying an existing generator
+    through its ``state`` reproduces that stream draw for draw.
+
+    Memoized (at most 4096 keys, least recently used evicted first): the
+    fault samplers re-key a stream once per (seed, layer, site, chunk) per
+    forward pass, and golden-run replay probes each chunk before drawing
+    it, so the ``SeedSequence`` derivation would otherwise repeat on the
+    hot injection path.
+    """
+    entropy = [_SITE_DOMAIN, int(seed) & _MASK64]
+    for label in labels:
+        if isinstance(label, str):
+            entropy.append(_label_to_int(label))
+        else:
+            entropy.append(int(label) & _MASK64)
+    key = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+    key.flags.writeable = False
+    return key
+
+
 def site_rng(seed: int, *labels: int | str) -> np.random.Generator:
     """Counter-based keyed stream: a generator fully determined by its key.
 
@@ -64,20 +95,16 @@ def site_rng(seed: int, *labels: int | str) -> np.random.Generator:
     coupling between different keys.  String labels are hashed stably
     (SHA-256), integer labels are used directly, so
     ``site_rng(s, "layer3", "wg_mul", 7)`` names one independent stream per
-    (seed, layer, category, chunk) tuple.
+    (seed, layer, category, chunk) tuple; the key is :func:`site_key`.
 
     This is the primitive behind the fault injectors' ``"counter"`` RNG
     scheme: because every draw is keyed by *what* is being sampled instead
     of *when*, splitting an evaluation batch across workers cannot shift
-    any draw.
+    any draw.  Only the stream is keyed: the generator's own
+    ``bit_generator.seed_seq`` is not, so derive child streams with more
+    labels rather than ``spawn``.
     """
-    entropy = [_SITE_DOMAIN, int(seed) & _MASK64]
-    for label in labels:
-        if isinstance(label, str):
-            entropy.append(_label_to_int(label))
-        else:
-            entropy.append(int(label) & _MASK64)
-    return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.Philox(key=site_key(seed, *labels)))
 
 
 def spawn_rng(parent: np.random.Generator, label: str) -> np.random.Generator:
