@@ -126,7 +126,7 @@ def _time_backend(backend, x, w, x_bound, repeats: int, keep: bool) -> dict:
             v_bound=v_bound,
         )
 
-    run()  # warm transform/scratch caches so steady-state cost is measured
+    run()  # warm the einsum-path and fused-matrix caches (steady-state cost)
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()

@@ -4,11 +4,12 @@ Three backends serve the :class:`~repro.backends.base.KernelBackend`
 protocol (filter/input/output tile transforms, the ``_channel_reduce``
 channel GEMM, the im2col direct-convolution GEMM, requantization):
 
-* ``reference`` — the original NumPy kernels, extracted verbatim; the
-  bit-identity baseline.
-* ``optimized`` — fused Kronecker transform GEMMs, preallocated scratch
-  buffers, zero-copy strided im2col consumption, blocked int64
+* ``optimized`` — the default and the production path: fused Kronecker
+  transform GEMMs, zero-copy strided im2col consumption, blocked int64
   fallbacks, in-place requantize.  Bit-identical, substantially faster.
+* ``reference`` — the original NumPy kernels, extracted verbatim; the
+  differential oracle every other backend is checked against
+  (``--kernel-backend reference`` runs a campaign on it).
 * ``torch`` — optional PyTorch implementation, import-gated: selecting
   it without torch installed raises
   :class:`~repro.errors.BackendUnavailableError`.
@@ -54,8 +55,9 @@ __all__ = [
 #: Every selectable backend name (torch may still be unavailable).
 BACKEND_NAMES = ("reference", "optimized", "torch")
 
-#: The backend models use unless told otherwise.
-DEFAULT_BACKEND = "reference"
+#: The backend models use unless told otherwise; the single source for
+#: every model and node default.
+DEFAULT_BACKEND = "optimized"
 
 #: Per-process singleton instances; lazy so the torch import only
 #: happens when the torch backend is actually requested.

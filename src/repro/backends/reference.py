@@ -80,14 +80,10 @@ def channel_reduce(
 
 
 def materialize_cols(cols: np.ndarray) -> np.ndarray:
-    """Materialize an im2col operand into its ``(N, C*R*S, P*Q)`` matrix.
-
-    Accepts either the already-materialized matrix (returned unchanged)
-    or the zero-copy strided ``(N, C, R, S, P, Q)`` patches view from
-    :func:`repro.utils.im2col.im2col_patches`.
+    """Materialize the ``(N, C, R, S, P, Q)`` patches view from
+    :func:`repro.utils.im2col.im2col_patches` into its ``(N, C*R*S, P*Q)``
+    im2col matrix.
     """
-    if cols.ndim == 3:
-        return cols
     n, c, r, s, p, q = cols.shape
     return np.ascontiguousarray(cols).reshape(n, c * r * s, p * q)
 
@@ -100,6 +96,8 @@ def exact_int_gemm(
 ) -> np.ndarray:
     """``acc[n, k, p] = sum_r weight[k, r] * cols[n, r, p]`` exactly.
 
+    ``cols`` is the ``(N, C, R, S, P, Q)`` patches view; it is
+    materialized here into the ``(N, C*R*S, P*Q)`` matrix indexed above.
     Uses BLAS float64 when every partial sum provably fits the mantissa
     (from the supplied bounds when available, actual magnitudes
     otherwise), int64 otherwise.

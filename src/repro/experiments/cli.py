@@ -46,9 +46,11 @@ per-seed results, so adaptive runs stay bit-reproducible and resumable
 for any ``--workers``/``--shard-samples``/``--replay`` combination.
 
 ``--kernel-backend {reference,optimized,torch}`` selects the per-layer
-compute backend (:mod:`repro.backends`) for every model: the same int64
-results bit-for-bit — backends are differentially tested against the
-reference — so campaign checkpoints are shared across kernel backends;
+compute backend (:mod:`repro.backends`) for every model.  Without the
+flag every model runs on ``optimized``, the default production path;
+``reference`` runs the oracle kernels every other backend is
+differentially tested against.  All give the same int64 results
+bit-for-bit, so campaign checkpoints are shared across kernel backends;
 only wall-clock changes.  ``torch`` is available only where PyTorch is
 installed and fails with a clean error otherwise.
 
@@ -452,11 +454,10 @@ def _figures_main(argv: list[str]) -> int:
         choices=("reference", "optimized", "torch"),
         default=None,
         help="per-layer compute backend for every model (see "
-        "repro.backends): 'reference' (default NumPy kernels), "
-        "'optimized' (fused-transform/scratch-buffer NumPy, same bits, "
-        "faster) or 'torch' (optional, needs PyTorch installed).  "
-        "Bit-identical by contract, so checkpoints are shared across "
-        "kernel backends",
+        "repro.backends): 'optimized' (default: fused-transform NumPy), "
+        "'reference' (the oracle NumPy kernels, same bits, slower) or "
+        "'torch' (optional, needs PyTorch installed).  Bit-identical by "
+        "contract, so checkpoints are shared across kernel backends",
     )
     args = parser.parse_args(argv)
     if args.queue is not None and args.backend != "distributed":

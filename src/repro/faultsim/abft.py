@@ -15,7 +15,7 @@ arithmetic.  Any operation-level fault that perturbs one output's
 accumulator breaks the identity at that position, so comparing the two
 sides detects (and spatially locates) faults with one extra output
 channel's worth of compute.  Both sides are computed with pure int64
-contractions (:func:`repro.winograd.conv2d._cached_einsum` /
+contractions (:func:`repro.backends.cached_einsum` /
 ``_channel_reduce``) — a float64 path would silently round past 2^53 and
 flag *clean* positions, breaking the exactness contract in precisely the
 int64-accumulator regime the campaign operates in.
@@ -43,11 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.backends import cached_einsum
 from repro.errors import FaultModelError
 from repro.quantized.interface import Injector
 from repro.quantized.qmodel import QuantizedModel
 from repro.quantized.qops import QConvDirect
-from repro.winograd.conv2d import _cached_einsum
 
 __all__ = ["AbftReport", "AbftChecker"]
 
@@ -191,7 +191,7 @@ class AbftChecker(Injector):
             if self.inner is not None:
                 self.inner.visit_direct(layer, x_int, cols, acc)
             return
-        expected = self._conv_checksum(layer, cols, acc.shape)
+        expected = self._conv_checksum(layer, cols)
         snapshot = acc.copy() if self.correct else None
         if self.inner is not None:
             self.inner.visit_direct(layer, x_int, cols, acc)
@@ -207,7 +207,7 @@ class AbftChecker(Injector):
         # past 2^53 and false-detected on clean accumulators.
         w_sum = layer.weight_int.sum(axis=0, dtype=np.int64)
         x64 = np.ascontiguousarray(x_int, dtype=np.int64)
-        expected = _cached_einsum(
+        expected = cached_einsum(
             "nr,r->n", x64, w_sum, key=(x64.shape[1:], w_sum.shape)
         )
         expected = expected + int(layer.bias_acc.sum())
@@ -264,19 +264,17 @@ class AbftChecker(Injector):
 
     # --- checksum kernels --------------------------------------------------------
     @staticmethod
-    def _conv_checksum(layer: QConvDirect, cols: np.ndarray, acc_shape) -> np.ndarray:
-        """Exact int64 channel checksum of a direct convolution batch."""
-        w_sum = (
-            layer.weight_int.reshape(layer.weight_int.shape[0], -1)
-            .sum(axis=0, dtype=np.int64)
+    def _conv_checksum(layer: QConvDirect, cols: np.ndarray) -> np.ndarray:
+        """Exact int64 channel checksum of a direct convolution batch.
+
+        ``cols`` is the ``(N, C, R, S, P, Q)`` patches view; the
+        channel-summed filter ``(C, R, S)`` contracts against it in place.
+        """
+        w_sum = layer.weight_int.sum(axis=0, dtype=np.int64)
+        checksum = cached_einsum(
+            "crs,ncrspq->npq", w_sum, cols, key=(w_sum.shape, cols.shape[1:])
         )
-        cols64 = np.ascontiguousarray(cols, dtype=np.int64)
-        checksum = _cached_einsum(
-            "r,nrp->np", w_sum, cols64, key=(w_sum.shape, cols64.shape[1:])
-        )
-        checksum = checksum + int(layer.bias_acc.sum())
-        n = acc_shape[0]
-        return checksum.reshape(n, acc_shape[2], acc_shape[3])
+        return checksum + int(layer.bias_acc.sum())
 
     @staticmethod
     def _winograd_checksum(ctx, v_sum: np.ndarray) -> np.ndarray:

@@ -310,7 +310,11 @@ class OperationLevelInjector(ReplayHooks, Injector):
 
     # ------------------------------------------------------------- direct conv
     def visit_direct(self, layer, x_int, cols, acc):
-        """Inject multiplication and addition faults into a direct-conv GEMM."""
+        """Inject multiplication and addition faults into a direct-conv GEMM.
+
+        ``cols`` is the read-only ``(N, C, R, S, P, Q)`` patches view; the
+        multiplication sites read their input operands from it in place.
+        """
         n = acc.shape[0]
         k_out = acc.shape[1]
         spatial = acc.shape[2] * acc.shape[3] if acc.ndim == 4 else 1
@@ -328,7 +332,8 @@ class OperationLevelInjector(ReplayHooks, Injector):
     def visit_linear(self, layer, x_int, acc):
         """Inject faults into a linear layer (a GEMM with one spatial site)."""
         n, k_out = acc.shape
-        cols = x_int[:, :, None]  # (N, F_in, 1) -> GEMM layout with spatial=1
+        # (N, F_in) as an (N, C=F_in, R=1, S=1, P=1, Q=1) patches layout.
+        cols = x_int[:, :, None, None, None, None]
         weight2d = layer.weight_int
         acc_flat = acc.reshape(n, k_out)
         self._inject_gemm_muls(
@@ -341,7 +346,14 @@ class OperationLevelInjector(ReplayHooks, Injector):
     def _inject_gemm_muls(
         self, layer, category, cols, weight2d, acc_flat, n, k_out, spatial, reduction
     ):
-        """Multiplication faults in a GEMM: product-result register flips."""
+        """Multiplication faults in a GEMM: product-result register flips.
+
+        Both callers hand over ``cols`` in the ``(N, C, R, S, P, Q)``
+        patches layout (a linear layer as ``R = S = P = Q = 1``).  A site's
+        reduction index ``red`` is C-major over ``(c, r, s)`` and its ``pq``
+        row-major over ``(p, q)``, so it reads the im2col entry
+        ``[img, red, pq]`` without materializing the matrix.
+        """
         events = self._site_events(
             layer.name,
             category,
@@ -358,7 +370,8 @@ class OperationLevelInjector(ReplayHooks, Injector):
         pq = out_idx % spatial
         kk = out_idx // spatial
 
-        x_vals = cols[img, red, pq]
+        crs = np.unravel_index(red, cols.shape[1:4])
+        x_vals = cols[(img, *crs, *np.divmod(pq, cols.shape[5]))]
         w_vals = weight2d[kk, red]
         products = x_vals * w_vals
         width = self._mul_register_width(layer)

@@ -30,7 +30,12 @@ class Injector:
         """Called once per quantized forward pass before any layer runs."""
 
     def visit_direct(self, layer, x_int: np.ndarray, cols: np.ndarray, acc: np.ndarray) -> None:
-        """Direct conv/GEMM: ``acc`` is the (N, K, P, Q) integer accumulator."""
+        """Direct conv/GEMM: ``acc`` is the (N, K, P, Q) integer accumulator.
+
+        ``cols`` is the read-only, zero-copy ``(N, C, R, S, P, Q)`` patches
+        view of the layer input (:func:`repro.utils.im2col.im2col_patches`);
+        its C-order flattening is the ``(N, C*R*S, P*Q)`` im2col matrix.
+        """
 
     def visit_linear(self, layer, x_int: np.ndarray, acc: np.ndarray) -> None:
         """Fully-connected: ``acc`` is the (N, F) integer accumulator."""

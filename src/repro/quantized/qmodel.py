@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.backends import DEFAULT_BACKEND
 from repro.errors import ConfigurationError
 from repro.fixedpoint import QFormat
 from repro.quantized.interface import Injector
@@ -38,13 +39,13 @@ class QuantizedModel:
     #: :mod:`repro.backends`).  Execution strategy only: every backend is
     #: bit-identical by contract, so this field is deliberately excluded
     #: from model fingerprints and checkpoint keys.
-    kernel_backend: str = "reference"
+    kernel_backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         self._by_name = {node.name: node for node in self.nodes}
         if self.output_name not in self._by_name:
             raise ConfigurationError(f"unknown output node '{self.output_name}'")
-        if self.kernel_backend != "reference":
+        if self.kernel_backend != DEFAULT_BACKEND:
             self.set_kernel_backend(self.kernel_backend)
 
     def set_kernel_backend(self, name: str) -> "QuantizedModel":

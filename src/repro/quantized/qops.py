@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from repro.backends import format_bound, get_backend
+from repro.backends import DEFAULT_BACKEND, format_bound, get_backend
 # Compatibility alias: the exact GEMM kernel now lives in the backend layer.
 from repro.backends.reference import exact_int_gemm as _exact_int_gemm  # noqa: F401
 from repro.errors import ShapeError
@@ -116,7 +116,7 @@ class QConvDirect(QNode):
     op_counts: OpCounts = field(default_factory=OpCounts)
     #: Kernel backend name (resolved lazily per process; bit-identical
     #: across backends, so never part of model fingerprints).
-    kernel_backend: str = "reference"
+    kernel_backend: str = DEFAULT_BACKEND
 
     @property
     def acc_frac(self) -> int:
@@ -125,31 +125,22 @@ class QConvDirect(QNode):
 
     def forward(self, xs, injector=None):
         (x,) = xs
-        n, c, h, w = x.shape
         k = self.weight_int.shape[0]
-        p = conv_output_size(h, self.kernel, self.stride, self.padding)
-        q = conv_output_size(w, self.kernel, self.stride, self.padding)
-
         backend = get_backend(self.kernel_backend)
+        # Zero-copy (N, C, R, S, P, Q) view: the backend and the injector
+        # both read it in place, so no int64 im2col matrix is built.
         patches = im2col_patches(x, (self.kernel, self.kernel), self.stride, self.padding)
-        cols = None
-        gemm_cols = patches
-        if injector is not None:
-            # The injector reads individual column entries by fancy
-            # indexing, so it needs the materialized matrix; without an
-            # injector the backend may consume the strided view directly.
-            cols = np.ascontiguousarray(patches).reshape(n, c * self.kernel * self.kernel, p * q)
-            gemm_cols = cols
+        n, p, q = patches.shape[0], patches.shape[4], patches.shape[5]
         acc = backend.im2col_gemm(
             self.weight_int.reshape(k, -1),
-            gemm_cols,
+            patches,
             w_bound=_lazy_weight_bound(self),
             x_bound=format_bound(self.in_fmt.width),
         )
         acc = acc.reshape(n, k, p, q)
         acc += self.bias_acc.reshape(1, k, 1, 1)
         if injector is not None:
-            injector.visit_direct(self, x, cols, acc)
+            injector.visit_direct(self, x, patches, acc)
         y = backend.requantize(acc, self.acc_frac, self.out_fmt)
         if injector is not None:
             y = injector.visit_output(self, y)
@@ -179,7 +170,7 @@ class QConvWinograd(QNode):
     sub_filter_bounds: list[int] = field(default_factory=list)
     #: Kernel backend name (resolved lazily per process; bit-identical
     #: across backends, so never part of model fingerprints).
-    kernel_backend: str = "reference"
+    kernel_backend: str = DEFAULT_BACKEND
 
     @property
     def acc_frac(self) -> int:
@@ -261,7 +252,7 @@ class QLinear(QNode):
     op_counts: OpCounts = field(default_factory=OpCounts)
     #: Kernel backend name (resolved lazily per process; bit-identical
     #: across backends, so never part of model fingerprints).
-    kernel_backend: str = "reference"
+    kernel_backend: str = DEFAULT_BACKEND
 
     @property
     def acc_frac(self) -> int:

@@ -48,12 +48,14 @@ def im2col_patches(
 ) -> np.ndarray:
     """Zero-copy strided patches view behind :func:`im2col`.
 
-    Returns a read-only-by-convention ``(N, C, R, S, P, Q)`` view whose
-    C-order flattening of the middle/trailing axes is exactly the
-    materialized im2col matrix.  The optimized kernel backend consumes
-    this view directly (fused gather + cast), skipping the intermediate
-    int64 materialization; callers that need the ``(N, C*R*S, P*Q)``
-    matrix use :func:`im2col`.
+    Returns a read-only ``(N, C, R, S, P, Q)`` view whose C-order
+    flattening of the middle/trailing axes is exactly the materialized
+    im2col matrix.  The quantized direct convolution hands this view to
+    the kernel backend (fused gather + cast) and to the fault injector
+    (fancy-indexed reads), so neither needs the intermediate int64
+    materialization; callers that need the ``(N, C*R*S, P*Q)`` matrix
+    use :func:`im2col`.  The view aliases ``x`` (or its padded copy),
+    which is why writes through it are refused.
     """
     if x.ndim != 4:
         raise ShapeError(f"expected NCHW array, got ndim={x.ndim}")
@@ -73,7 +75,9 @@ def im2col_patches(
         xp.strides[2] * stride,
         xp.strides[3] * stride,
     )
-    return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides)
+    return np.lib.stride_tricks.as_strided(
+        xp, shape=shape, strides=strides, writeable=False
+    )
 
 
 def im2col(

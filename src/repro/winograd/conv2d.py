@@ -17,9 +17,9 @@ larger kernels and strides are handled one level up by the DWM decomposition
 The integer pipeline's per-stage kernels (tile transforms and the channel
 reduction) execute through a pluggable :mod:`repro.backends` backend —
 bit-identical across backends by contract, so the choice affects
-wall-clock only.  ``_channel_reduce``, ``_cached_einsum`` and the bounded
-``_EINSUM_PATHS`` path cache remain importable here for compatibility
-(they now live in the backend layer).
+wall-clock only.  ``_channel_reduce`` and the bounded ``_EINSUM_PATHS``
+path cache remain importable here for compatibility (they now live in
+the backend layer).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.backends import get_backend, kron_row_bound
 # kernels now live in the backend layer, but tests and the ABFT checker
 # import them from here.
 from repro.backends.base import EINSUM_PATHS as _EINSUM_PATHS  # noqa: F401
-from repro.backends.base import cached_einsum as _cached_einsum  # noqa: F401
 from repro.backends.reference import channel_reduce as _channel_reduce  # noqa: F401
 from repro.backends.reference import filter_transform_int as _filter_transform_int
 from repro.errors import ShapeError

@@ -27,6 +27,7 @@ import pytest
 from repro.backends import (
     BACKEND_NAMES,
     BoundedCache,
+    DEFAULT_BACKEND,
     EINSUM_PATHS,
     available_backends,
     format_bound,
@@ -62,8 +63,8 @@ def alt(request):
 
 
 def restore_backend(qmodel):
-    """Reset a (session-scoped, shared) model to the reference backend."""
-    qmodel.set_kernel_backend("reference")
+    """Reset a (session-scoped, shared) model to the default backend."""
+    qmodel.set_kernel_backend(DEFAULT_BACKEND)
 
 
 # --- stage-level differential tests ------------------------------------------
@@ -126,19 +127,19 @@ class TestStageParity:
 
     @pytest.mark.parametrize("magnitude", [1 << 12, 1 << 24], ids=["f64", "int64"])
     def test_im2col_gemm_matrix_and_view(self, alt, rng, magnitude):
-        """Materialized (N,C*R*S,P*Q) matrix and strided 6-D view agree."""
+        """The strided 6-D view's GEMM equals int64 matmul of the matrix."""
         from repro.utils.im2col import im2col, im2col_patches
 
         x = rng.integers(-magnitude, magnitude, size=(2, 8, 9, 9)).astype(np.int64)
         w = rng.integers(-magnitude, magnitude, size=(4, 8 * 3 * 3)).astype(np.int64)
         matrix = im2col(x, (3, 3), 1, 1)
         view = im2col_patches(x, (3, 3), 1, 1)
-        ref = REFERENCE.im2col_gemm(w, matrix)
-        for cols in (matrix, view):
-            for bounds in ({}, {"w_bound": magnitude, "x_bound": magnitude}):
-                out = alt.im2col_gemm(w, cols, **bounds)
-                assert out.dtype == np.int64
-                np.testing.assert_array_equal(out, ref)
+        ref = REFERENCE.im2col_gemm(w, view)
+        np.testing.assert_array_equal(ref, np.matmul(w[None], matrix))
+        for bounds in ({}, {"w_bound": magnitude, "x_bound": magnitude}):
+            out = alt.im2col_gemm(w, view, **bounds)
+            assert out.dtype == np.int64
+            np.testing.assert_array_equal(out, ref)
 
     @pytest.mark.parametrize("magnitude", [1 << 12, 1 << 24], ids=["f64", "int64"])
     def test_linear_gemm(self, alt, rng, magnitude):
@@ -231,7 +232,7 @@ class TestModelParity:
         qm = tiny_quantized[model_idx]
         x, _ = tiny_eval
         try:
-            restore_backend(qm)
+            qm.set_kernel_backend("reference")
             ref = qm.forward_trace(x[:8])
             qm.set_kernel_backend(alt.name)
             out = qm.forward_trace(x[:8])
@@ -253,7 +254,7 @@ class TestModelParity:
         config = CampaignConfig(seeds=(0, 1), batch_size=12, max_samples=24,
                                 injector=injector)
         try:
-            restore_backend(qm)
+            qm.set_kernel_backend("reference")
             ref = [evaluate_seed_point(qm, x, y, ber, s, config) for s in config.seeds]
             qm.set_kernel_backend(alt.name)
             out = [evaluate_seed_point(qm, x, y, ber, s, config) for s in config.seeds]
@@ -269,7 +270,7 @@ class TestModelParity:
         bers = [1e-5, 3e-5]
         config = CampaignConfig(seeds=(0, 1), batch_size=12, max_samples=24)
         try:
-            restore_backend(qm)
+            qm.set_kernel_backend("reference")
             serial = [r.to_dict() for r in run_sweep(qm, x, y, bers, config=config)]
             engine = CampaignEngine(workers=PARITY_WORKERS, kernel_backend=alt.name)
             swept = [
@@ -338,7 +339,7 @@ class TestFingerprintStability:
     def test_model_fingerprint_ignores_backend(self, alt, tiny_quantized):
         for qm in tiny_quantized:
             try:
-                restore_backend(qm)
+                qm.set_kernel_backend("reference")
                 before = model_fingerprint(qm)
                 qm.set_kernel_backend(alt.name)
                 assert model_fingerprint(qm) == before
@@ -347,14 +348,15 @@ class TestFingerprintStability:
 
     def test_set_kernel_backend_propagates_to_nodes(self, tiny_quantized):
         qm = tiny_quantized[1]
+        other = next(name for name in available_backends() if name != DEFAULT_BACKEND)
         try:
-            qm.set_kernel_backend("optimized")
+            qm.set_kernel_backend(other)
             for node in qm.injectable_layers():
-                assert node.kernel_backend == "optimized"
+                assert node.kernel_backend == other
         finally:
             restore_backend(qm)
         for node in qm.injectable_layers():
-            assert node.kernel_backend == "reference"
+            assert node.kernel_backend == DEFAULT_BACKEND
 
 
 # --- registry, errors, caches ------------------------------------------------
