@@ -45,14 +45,13 @@ once its confidence interval is inside ``--ci-halfwidth`` (seed budget
 per-seed results, so adaptive runs stay bit-reproducible and resumable
 for any ``--workers``/``--shard-samples``/``--replay`` combination.
 
-``--kernel-backend {reference,optimized,torch}`` selects the per-layer
+``--kernel-backend {reference,optimized}`` selects the per-layer
 compute backend (:mod:`repro.backends`) for every model.  Without the
 flag every model runs on ``optimized``, the default production path;
-``reference`` runs the oracle kernels every other backend is
-differentially tested against.  All give the same int64 results
-bit-for-bit, so campaign checkpoints are shared across kernel backends;
-only wall-clock changes.  ``torch`` is available only where PyTorch is
-installed and fails with a clean error otherwise.
+``reference`` runs the oracle kernels ``optimized`` is differentially
+tested against.  Both give the same int64 results bit-for-bit, so
+campaign checkpoints are shared across kernel backends; only wall-clock
+changes.
 
 ``--backend distributed`` swaps the forked pool for the work-queue
 backend (:mod:`repro.runtime.distributed`): ``--workers`` worker
@@ -451,13 +450,13 @@ def _figures_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--kernel-backend",
-        choices=("reference", "optimized", "torch"),
+        choices=("reference", "optimized"),
         default=None,
         help="per-layer compute backend for every model (see "
-        "repro.backends): 'optimized' (default: fused-transform NumPy), "
-        "'reference' (the oracle NumPy kernels, same bits, slower) or "
-        "'torch' (optional, needs PyTorch installed).  Bit-identical by "
-        "contract, so checkpoints are shared across kernel backends",
+        "repro.backends): 'optimized' (default: fused-transform NumPy) "
+        "or 'reference' (the oracle NumPy kernels, same bits, slower).  "
+        "Bit-identical by contract, so checkpoints are shared across "
+        "kernel backends",
     )
     args = parser.parse_args(argv)
     if args.queue is not None and args.backend != "distributed":

@@ -16,9 +16,10 @@ accumulator breaks the identity at that position, so comparing the two
 sides detects (and spatially locates) faults with one extra output
 channel's worth of compute.  Both sides are computed with pure int64
 contractions (:func:`repro.backends.cached_einsum` /
-``_channel_reduce``) — a float64 path would silently round past 2^53 and
-flag *clean* positions, breaking the exactness contract in precisely the
-int64-accumulator regime the campaign operates in.
+:func:`repro.backends.reference.channel_reduce`) — a float64 path would
+silently round past 2^53 and flag *clean* positions, breaking the
+exactness contract in precisely the int64-accumulator regime the
+campaign operates in.
 
 :class:`AbftChecker` plays two roles:
 
@@ -44,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backends import cached_einsum
+from repro.backends.reference import channel_reduce
 from repro.errors import FaultModelError
 from repro.quantized.interface import Injector
 from repro.quantized.qmodel import QuantizedModel
@@ -279,11 +281,10 @@ class AbftChecker(Injector):
     @staticmethod
     def _winograd_checksum(ctx, v_sum: np.ndarray) -> np.ndarray:
         """Single-channel Winograd pipeline on the channel-summed filters."""
-        from repro.winograd.conv2d import _channel_reduce
         from repro.winograd.tiling import assemble_tiles
 
         tf = ctx.transform
-        m_arr = _channel_reduce(ctx.u_int, v_sum.astype(np.int64))
+        m_arr = channel_reduce(ctx.u_int, v_sum.astype(np.int64))
         at = tf.at_int
         y_tiles = np.einsum("ui,nktij,vj->nktuv", at, m_arr, at)
         return assemble_tiles(y_tiles, ctx.grid)

@@ -34,8 +34,10 @@ but fails its CRC — a bit flip on disk, a torn write whose prefix happens
 to be valid JSON — is treated exactly like an unparseable line: dropped
 at load with a warning, recomputed on resume, and reported by
 :func:`fsck`.  Version-2 files (no CRC) still load; when a v2 row *does*
-carry a ``crc`` it is verified.  Loaded v1/v2 stores are compacted to a
-clean version-3 file on the first flush.
+carry a ``crc`` it is verified.  Loaded v2 stores are compacted to a
+clean version-3 file on the first flush.  Anything else — including the
+retired version-1 single-document format — is refused with
+:class:`~repro.errors.CheckpointError` and left untouched.
 
 Durability
 ----------
@@ -86,7 +88,6 @@ __all__ = [
 
 _VERSION = 3
 _V2_VERSION = 2
-_LEGACY_VERSION = 1
 
 #: Either stored record shape.
 _Result = SeedPointResult | SampleSliceResult
@@ -171,13 +172,12 @@ def _parse_file(
 ) -> tuple[dict[str, _Result], list[int], bool]:
     """Parse checkpoint ``text`` into (points, damaged line numbers, legacy).
 
-    Raises :class:`CheckpointError` when the file is unrecoverable (no
-    readable header and not a legacy document); individual damaged point
-    lines — unparseable, malformed, or failing their CRC — are tolerated
-    and reported by number.  ``legacy`` is True when the file needs a
-    compacting rewrite on the next flush: the version-1 single-document
-    format, a version-2 (pre-CRC) file, or an empty file without a
-    header.
+    Raises :class:`CheckpointError` when the file has no readable
+    version-2/3 header; individual damaged point lines — unparseable,
+    malformed, or failing their CRC — are tolerated and reported by
+    number.  ``legacy`` is True when the file needs a compacting rewrite
+    on the next flush: a version-2 (pre-CRC) file, or an empty file
+    without a header.
     """
     if not text.strip():
         # A zero-byte (or whitespace-only) file — e.g. `touch`-created, or
@@ -211,7 +211,8 @@ def _parse_file(
             else:
                 damaged.append(lineno)
         return points, damaged, version != _VERSION
-    # No versioned header: either a legacy version-1 document or garbage.
+    # No versioned header line: a whole-document file (such as the retired
+    # version-1 format) or garbage.  Either way it is refused, untouched.
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -219,15 +220,8 @@ def _parse_file(
             f"checkpoint {path} has no readable header and is not valid JSON "
             f"({exc}); repair it or delete it to start fresh"
         ) from exc
-    if not isinstance(doc, dict) or doc.get("version") != _LEGACY_VERSION:
-        version = doc.get("version") if isinstance(doc, dict) else None
-        raise CheckpointError(
-            f"checkpoint {path} has unsupported version {version!r}"
-        )
-    points = {
-        key: _row_result(row) for key, row in doc.get("points", {}).items()
-    }
-    return points, [], True
+    version = doc.get("version") if isinstance(doc, dict) else None
+    raise CheckpointError(f"checkpoint {path} has unsupported version {version!r}")
 
 
 class CampaignCheckpoint:
@@ -308,7 +302,7 @@ class CampaignCheckpoint:
         self._points = points
         self._persisted = set(points)
         self.damaged_lines = damaged
-        # Legacy documents (v1/v2) and damaged files are compacted to
+        # Version-2 documents and damaged files are compacted to
         # clean version-3 on the next flush rather than appended to.
         self._rewrite = bool(damaged) or legacy
 
@@ -529,7 +523,7 @@ class FsckFileReport:
     """Integrity findings for one checkpoint file.
 
     ``version`` is ``None`` when the file is not recognizably a
-    checkpoint (no readable header, not a legacy document) — such files
+    checkpoint (no readable version-2/3 header) — such files
     are reported but never repaired, so pointing fsck at the wrong
     directory cannot destroy anything.  ``damaged`` holds one entry per
     bad line: ``{"line": n, "key": key-or-None, "reason": DAMAGE_*}``.
@@ -632,16 +626,7 @@ def _fsck_scan(path: Path) -> tuple[FsckFileReport, dict[str, _Result], list[str
                 bad_lines.append(line)
         report.records = len(intact)
         return report, intact, bad_lines
-    # Legacy v1 document, or not a checkpoint at all.
-    try:
-        points, _, _ = _parse_file(path, text)
-    except CheckpointError:
-        return report, intact, bad_lines  # version=None: not a checkpoint
-    report.version = _LEGACY_VERSION
-    report.lines = len(points)
-    report.records = len(points)
-    intact.update(points)
-    return report, intact, bad_lines
+    return report, intact, bad_lines  # version=None: not a checkpoint
 
 
 def _fsck_repair(path: Path, intact: dict[str, _Result], bad_lines) -> None:

@@ -399,8 +399,8 @@ class CampaignEngine:
         once the runtime's recovery machinery drains the injected
         faults.  ``None`` (default) injects nothing.
     kernel_backend:
-        Optional kernel backend name (``"reference"``, ``"optimized"``
-        or ``"torch"``; see :mod:`repro.backends`) applied to every
+        Optional kernel backend name (``"reference"`` or
+        ``"optimized"``; see :mod:`repro.backends`) applied to every
         model evaluated through this engine.  Kernel backends are
         bit-identical by contract, so results, event counts and
         checkpoint keys are unchanged — the selection never enters task
@@ -428,8 +428,8 @@ class CampaignEngine:
     ):
         self.workers = resolve_workers(workers)
         if kernel_backend is not None:
-            # Validate eagerly (unknown name / missing torch) so a bad
-            # selection fails at construction, not mid-campaign.
+            # Validate eagerly so an unknown name fails at construction,
+            # not mid-campaign.
             get_kernel_backend(kernel_backend)
         self.kernel_backend = kernel_backend
         if backend not in (BACKEND_POOL, BACKEND_DISTRIBUTED):

@@ -29,13 +29,12 @@ from repro.backends import (
     BoundedCache,
     DEFAULT_BACKEND,
     EINSUM_PATHS,
-    available_backends,
     format_bound,
     get_backend,
     kron_row_bound,
     row_bound,
 )
-from repro.errors import BackendUnavailableError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.faultsim import (
     CampaignConfig,
     INJECTOR_NEURON,
@@ -50,8 +49,8 @@ from repro.winograd import get_transform
 #: Worker count for the engine-based parity tests (CI sets 2).
 PARITY_WORKERS = int(os.environ.get("REPRO_PARITY_WORKERS", "1"))
 
-#: Every non-reference backend that can be instantiated here.
-ALT_BACKENDS = [n for n in available_backends() if n != "reference"]
+#: Every non-reference backend.
+ALT_BACKENDS = [n for n in BACKEND_NAMES if n != "reference"]
 
 REFERENCE = get_backend("reference")
 
@@ -348,7 +347,7 @@ class TestFingerprintStability:
 
     def test_set_kernel_backend_propagates_to_nodes(self, tiny_quantized):
         qm = tiny_quantized[1]
-        other = next(name for name in available_backends() if name != DEFAULT_BACKEND)
+        other = next(name for name in BACKEND_NAMES if name != DEFAULT_BACKEND)
         try:
             qm.set_kernel_backend(other)
             for node in qm.injectable_layers():
@@ -362,8 +361,9 @@ class TestFingerprintStability:
 # --- registry, errors, caches ------------------------------------------------
 class TestRegistry:
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
-            get_backend("numba")
+        for name in ("numba", "torch"):
+            with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+                get_backend(name)
 
     def test_model_validates_backend_eagerly(self, tiny_quantized):
         with pytest.raises(ConfigurationError):
@@ -378,18 +378,9 @@ class TestRegistry:
         assert get_backend("optimized") is get_backend("optimized")
 
     def test_names_and_availability(self):
-        assert BACKEND_NAMES == ("reference", "optimized", "torch")
-        avail = available_backends()
-        assert avail[:2] == ("reference", "optimized")
-
-    @pytest.mark.skipif(
-        "torch" in ALT_BACKENDS, reason="torch is installed here"
-    )
-    def test_torch_missing_raises_backend_unavailable(self):
-        with pytest.raises(BackendUnavailableError, match="torch"):
-            get_backend("torch")
-        assert "torch" not in available_backends()
-        assert issubclass(BackendUnavailableError, ConfigurationError)
+        assert BACKEND_NAMES == ("reference", "optimized")
+        for name in BACKEND_NAMES:
+            assert get_backend(name).name == name
 
 
 class TestBoundedCache:
@@ -431,11 +422,8 @@ class TestBoundedCache:
             BoundedCache(capacity=0)
 
     def test_einsum_path_cache_is_bounded_and_shared(self):
-        """conv2d's legacy alias and the backend layer share one capped
-        cache (the previously unbounded module global)."""
-        from repro.winograd import conv2d
-
-        assert conv2d._EINSUM_PATHS is EINSUM_PATHS
+        """The backend layer shares one capped cache (the previously
+        unbounded module global)."""
         assert isinstance(EINSUM_PATHS, BoundedCache)
         assert EINSUM_PATHS.capacity == 256
 
@@ -466,19 +454,3 @@ class TestBoundHelpers:
         qm = tiny_quantized[0]
         for node in qm.injectable_layers():
             assert format_bound(node.in_fmt.width) >= node.in_fmt.qmax
-
-
-class TestTorchBackend:
-    """Torch-only checks (the generic parametrization covers parity)."""
-
-    @pytest.fixture(autouse=True)
-    def _requires_torch(self):
-        pytest.importorskip("torch")
-
-    def test_registered_and_available(self):
-        assert "torch" in available_backends()
-        assert get_backend("torch").name == "torch"
-
-    def test_cache_stats_hook(self):
-        stats = get_backend("torch").cache_stats()
-        assert "einsum_paths" in stats

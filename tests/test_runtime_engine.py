@@ -199,11 +199,15 @@ class TestCheckpointResume:
             assert set(row) == {"key", "ber", "seed", "accuracy", "events", "crc"}
             assert row["crc"] == record_crc(row)
 
-    def test_legacy_v1_checkpoint_still_loads(
+    def test_v1_checkpoint_is_refused(
         self, tiny_quantized, tiny_eval, config, tmp_path
     ):
-        """A version-1 single-document file is read and upgraded on flush."""
+        """A version-1 single-document file is refused, byte-for-byte
+        untouched, and fsck reports it as not a checkpoint; the v2/v3
+        formats written by the engine still load."""
+        from repro.errors import CheckpointError
         from repro.faultsim import SeedPointResult
+        from repro.runtime import fsck
 
         qm, _ = tiny_quantized
         x, y = tiny_eval
@@ -211,17 +215,27 @@ class TestCheckpointResume:
         engine = CampaignEngine(workers=1, checkpoint_path=ckpt)
         engine.run_sweep(qm, x, y, BERS[:1], config=config)
         points = checkpoint_points(ckpt)
+        assert len(CampaignCheckpoint(ckpt)) == len(points)  # v3 loads
 
-        # Rewrite the same content in the legacy format.
+        # Rewrite the same content in the retired version-1 format.
         ckpt.write_text(json.dumps({"version": 1, "points": points}, indent=2))
+        before = ckpt.read_bytes()
+        with pytest.raises(CheckpointError, match="unsupported version 1"):
+            CampaignCheckpoint(ckpt)
         resumed = CampaignEngine(workers=1, checkpoint_path=ckpt, resume=True)
-        resumed.run_sweep(qm, x, y, BERS[:2], config=config)
-        assert resumed.last_stats.cached_units == len(config.seeds)
-        # The flush upgraded the file to version 3 with all points intact.
-        header, rows = checkpoint_lines(ckpt)
-        assert header == {"version": 3}
-        assert len(rows) == 2 * len(config.seeds)
-        store = CampaignCheckpoint(ckpt)
+        with pytest.raises(CheckpointError):
+            resumed.run_sweep(qm, x, y, BERS[:1], config=config)
+        assert ckpt.read_bytes() == before
+
+        report = fsck(ckpt, repair=True)
+        assert [f.version for f in report.files] == [None]
+        assert not report.repaired
+        assert ckpt.read_bytes() == before
+
+        # The same rows under a version-2 header still load.
+        rows = [json.dumps({"key": key, **row}) for key, row in points.items()]
+        ckpt.write_text(json.dumps({"version": 2}) + "\n" + "\n".join(rows) + "\n")
+        store = CampaignCheckpoint(ckpt, strict=True)
         for key, row in points.items():
             assert store.get(key) == SeedPointResult.from_dict(row)
 
