@@ -94,6 +94,7 @@ def run_comparison(workers: int = 4) -> dict:
     start = time.perf_counter()
     parallel = engine.run_sweep(qmodel, x, y, bers, config=config)
     engine_seconds = time.perf_counter() - start
+    engine.close()
 
     identical = [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
     return {
@@ -127,6 +128,7 @@ def run_task_batch_comparison(workers: int = 4) -> dict:
     start = time.perf_counter()
     parallel = layer_vulnerability(qmodel, x, y, ber, config=config, engine=engine)
     engine_seconds = time.perf_counter() - start
+    engine.close()
 
     return {
         "units": engine.last_stats.total_units,
@@ -177,6 +179,7 @@ def run_planner_comparison(workers: int = 4) -> dict:
         max_iterations=ITERATIONS, engine=engine, speculative=True,
     )
     engine_seconds = time.perf_counter() - start
+    engine.close()
 
     identical = (
         serial.to_dict() == speculative.to_dict()
@@ -223,6 +226,7 @@ def run_sample_shard_comparison(workers: int = 4, shard: int = 24) -> dict:
     start = time.perf_counter()
     sharded = engine.run_point(qmodel, x, y, ber, config=config)
     engine_seconds = time.perf_counter() - start
+    engine.close()
 
     return {
         "units": engine.last_stats.total_units,
@@ -267,11 +271,13 @@ def run_replay_comparison(workers: int = 4) -> dict:
     start = time.perf_counter()
     base_results = baseline.evaluate_tasks(qmodel, x, y, tasks, config=config)
     baseline_seconds = time.perf_counter() - start
+    baseline.close()
 
     replaying = CampaignEngine(workers=workers, replay=True)
     start = time.perf_counter()
     replay_results = replaying.evaluate_tasks(qmodel, x, y, tasks, config=config)
     replay_seconds = time.perf_counter() - start
+    replaying.close()
 
     events = sum(sum(r.events_per_seed) for r in base_results)
     return {
@@ -309,6 +315,7 @@ def run_distributed_comparison(workers: int = 4) -> dict:
     start = time.perf_counter()
     pool_results = pool.run_sweep(qmodel, x, y, bers, config=config)
     pool_seconds = time.perf_counter() - start
+    pool.close()
 
     with tempfile.TemporaryDirectory() as queue_dir:
         distributed = CampaignEngine(
@@ -369,6 +376,7 @@ def run_adaptive_comparison(workers: int = 4) -> dict:
         qmodel, x, y, list(bers), config=config, rule=rule, engine=engine
     )
     adaptive_seconds = time.perf_counter() - start
+    engine.close()
 
     return {
         "bers": len(bers),

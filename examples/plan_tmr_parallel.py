@@ -85,6 +85,7 @@ def main(workers: int | None = None) -> None:
         qmodel, x, y, BER, target, ranking, config=config, step=0.5,
         engine=engine, speculative=True,
     )
+    engine.close()  # terminate and join the engine's worker pool
 
     identical = (
         serial.to_dict() == speculative.to_dict()

@@ -9,9 +9,9 @@ must be **bit-identical** to the ``reference`` backend (int64
 accumulator semantics), which is what keeps campaign checkpoints
 shareable across backends.
 
-This module also hosts :class:`BoundedCache` — the size-capped mapping
-behind the einsum-path memo (previously an unbounded module global in
-``winograd/conv2d.py``) and the fused-transform-matrix cache — plus the
+This module also hosts :class:`BoundedCache` — the weight-capped mapping
+behind the einsum-path memo, the fused-transform-matrix cache and the
+counter-scheme draw cache (:mod:`repro.faultsim.sampling`) — plus the
 magnitude-bound helpers used by the float64-exactness probes.
 """
 
@@ -34,22 +34,28 @@ __all__ = [
 
 
 class BoundedCache:
-    """Insertion-ordered mapping with a size cap and hit/miss counters.
+    """Insertion-ordered mapping with a weight cap and hit/miss counters.
 
-    Eviction is FIFO: when a *new* key would exceed ``capacity``, the
-    oldest entry is dropped.  The cached workloads (einsum contraction
-    paths, fused transform matrices) are keyed by a
-    small set of recurring layer geometries, so FIFO behaves like LRU in
-    practice while keeping ``put`` O(1) and the implementation trivial
-    to reason about in forked worker processes.
+    Every entry carries a weight (1 unless ``put`` says otherwise) and
+    ``capacity`` bounds the total weight held.  Eviction is FIFO: when a
+    *new* entry would push the held weight past ``capacity``, the oldest
+    entries are dropped until it fits; an entry heavier than the whole
+    capacity is not stored.  The cached workloads (einsum contraction
+    paths, fused transform matrices, counter-scheme fault draws) are
+    keyed by a small set of recurring geometries or campaign draws, so
+    FIFO behaves like LRU in practice while keeping ``put`` amortized
+    O(1) and the implementation trivial to reason about in forked
+    worker processes.
     """
 
     def __init__(self, capacity: int):
-        """Create an empty cache holding at most ``capacity`` entries."""
+        """Create an empty cache holding at most ``capacity`` total weight."""
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
+        #: key -> (value, weight)
         self._data: dict = {}
+        self._weight = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -57,24 +63,32 @@ class BoundedCache:
     def get(self, key, default=None):
         """Return the cached value for ``key`` (counts a hit or miss)."""
         try:
-            value = self._data[key]
+            value = self._data[key][0]
         except KeyError:
             self._misses += 1
             return default
         self._hits += 1
         return value
 
-    def put(self, key, value) -> None:
-        """Insert ``key``, evicting the oldest entry when over capacity."""
-        if key not in self._data and len(self._data) >= self.capacity:
+    def put(self, key, value, weight: int = 1) -> None:
+        """Insert ``key``, evicting the oldest entries until it fits."""
+        weight = int(weight)
+        previous = self._data.pop(key, None)
+        if previous is not None:
+            self._weight -= previous[1]
+        if weight > self.capacity:
+            return
+        while self._weight + weight > self.capacity:
             oldest = next(iter(self._data))
-            del self._data[oldest]
+            self._weight -= self._data.pop(oldest)[1]
             self._evictions += 1
-        self._data[key] = value
+        self._data[key] = (value, weight)
+        self._weight += weight
 
     def clear(self) -> None:
         """Drop every entry (counters are preserved)."""
         self._data.clear()
+        self._weight = 0
 
     def __len__(self) -> int:
         """Number of live entries."""
@@ -83,6 +97,11 @@ class BoundedCache:
     def __contains__(self, key) -> bool:
         """Membership test without touching the hit/miss counters."""
         return key in self._data
+
+    @property
+    def weight(self) -> int:
+        """Total weight of the live entries (never above ``capacity``)."""
+        return self._weight
 
     def stats(self) -> dict:
         """Counters snapshot: size, capacity, hits, misses, evictions."""

@@ -509,7 +509,9 @@ def _figures_main(argv: list[str]) -> int:
         # settled point's estimate matches the fixed-grid estimate (and
         # shares its checkpoint entries) exactly.
         rule = StopRule(min_seeds=len(profile.seeds), **rule)
-    engine = make_engine(
+    # The engine's worker pool lives across figures; the with-block
+    # terminates and joins it before the command returns.
+    with make_engine(
         workers=args.workers,
         resume=args.resume,
         checkpoint=args.checkpoint,
@@ -521,29 +523,32 @@ def _figures_main(argv: list[str]) -> int:
         kernel_backend=args.kernel_backend,
         chaos=chaos,
         retry=retry,
-    )
-    targets = sorted(_FIGURES) if "all" in args.figures else args.figures
-    for name in targets:
-        if name == "headline":
-            from repro.experiments.headline import collect_headlines, format_headlines
+    ) as engine:
+        targets = sorted(_FIGURES) if "all" in args.figures else args.figures
+        for name in targets:
+            if name == "headline":
+                from repro.experiments.headline import (
+                    collect_headlines,
+                    format_headlines,
+                )
 
-            print(format_headlines(collect_headlines()))
+                print(format_headlines(collect_headlines()))
+                print()
+                continue
+            module = _FIGURES[name]
+            extra = {}
+            if name == "fig5":
+                extra = {"speculative": args.speculative}
+            elif name == "portfolio":
+                extra = {
+                    "speculative": args.speculative,
+                    "protection": args.protection,
+                }
+            elif name in ("fig2", "fig6", "fig7") and rule is not None:
+                extra = {"adaptive": rule}
+            payload = module.run(profile=profile, engine=engine, **extra)
+            print(module.format_report(payload))
             print()
-            continue
-        module = _FIGURES[name]
-        extra = {}
-        if name == "fig5":
-            extra = {"speculative": args.speculative}
-        elif name == "portfolio":
-            extra = {
-                "speculative": args.speculative,
-                "protection": args.protection,
-            }
-        elif name in ("fig2", "fig6", "fig7") and rule is not None:
-            extra = {"adaptive": rule}
-        payload = module.run(profile=profile, engine=engine, **extra)
-        print(module.format_report(payload))
-        print()
     return EXIT_OK
 
 

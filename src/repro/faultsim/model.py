@@ -98,11 +98,15 @@ class FaultModelConfig:
     max_events_per_category:
         Safety cap on sampled events per (layer, category, batch); BERs past
         the accuracy cliff can request millions of events whose effect
-        saturates long before that.  The cap is high enough not to bias any
-        reported operating point (campaigns warn when it binds).  Under the
-        counter scheme the cap applies per (layer, site, chunk) — the unit
-        a Poisson count is drawn for — which keeps capping itself
-        partition-invariant.
+        saturates long before that.  Under the counter scheme the cap
+        applies per (layer, site, chunk) — the unit a Poisson count is
+        drawn for — which keeps capping itself partition-invariant.  When
+        it binds, the injector's ``capped`` flag is set and nothing else
+        happens: no campaign reads the flag or warns, and the cap does
+        bias high-BER points (the two schemes cap at different
+        granularity, so their curves can disagree there).  Making the
+        cap's unit explicit and surfacing it is an open ROADMAP item
+        under "Retire the stream RNG scheme".
     rng_scheme:
         ``RNG_STREAM`` (default) or ``RNG_COUNTER``; see the module docs.
         Only the counter scheme supports sample-level sharding

@@ -644,11 +644,11 @@ class _TilePadAccumulator:
         n, k, hh, ww = buf.shape
         flat = buf.reshape(-1)
         base = (img * k + kk) * hh
-        uu, vv = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+        offsets = np.arange(m)
         idx = (
-            (base[None, None, :] + oh[None, None, :] + uu[:, :, None]) * ww
+            ((base + oh)[None, None, :] + offsets[:, None, None]) * ww
             + ow[None, None, :]
-            + vv[:, :, None]
+            + offsets[None, :, None]
         )
         np.add.at(flat, idx.ravel(), updates.ravel())
 

@@ -80,13 +80,32 @@ happen *between* batches, on canonically ordered results.
 
 Worker-pool mechanics
 ---------------------
-Workers are forked (POSIX) *after* the parent publishes the evaluation
-payload (model, data, config, task table) in a module global, so the
-payload crosses into children via copy-on-write page sharing rather than
-per-task pickling — the model and evaluation batch are megabytes, the
-dispatched unit a single integer index into the task table.  On platforms
-without ``fork`` the engine degrades to the serial path rather than
-failing.
+Each engine keeps **one** forked (POSIX) ``multiprocessing`` pool for all
+its ``evaluate_tasks`` calls and retry waves.  The heavy *fork-time
+payload* — the model object (and its kernel backend), the evaluation
+data, the golden run, the chaos spec and the retry policy — reaches the
+workers through the pool initializer, so it crosses into children by
+copy-on-write page sharing instead of per-task pickling, and the pool
+keeps it for its lifetime, so a worker it respawns inherits it too.
+Each dispatched item carries only ``(index, attempt, config, unit,
+key)``.  The pool is re-forked only when the fork-time payload changes
+(another model, data, golden run or kernel backend); the old pool's
+workers and handler threads are terminated and joined first, so the
+engine never forks while its own pool threads run.  A wave abandoned
+mid-way by a permanent failure closes the pool too, so stale units never
+run on into the next batch.  Like the fingerprint memo, reuse assumes
+the model and data are not mutated in place while the engine lives.
+
+Workers stay warm between batches: the counter sampler's draw cache
+(:data:`repro.faultsim.sampling.DRAW_CACHE`) and the backends' einsum-path
+cache persist in each worker, which is what lets the TMR planner's
+repeated seeds skip re-drawing every unchanged layer's faults.
+
+:meth:`CampaignEngine.close` (also run by ``with engine:`` and when the
+engine is garbage-collected) terminates **and joins** the workers, so
+their resource usage is accounted to the parent's ``RUSAGE_CHILDREN``.
+On platforms without ``fork`` the engine degrades to the serial path
+rather than failing.
 
 Distributed backend
 -------------------
@@ -111,6 +130,7 @@ import os
 import time
 import traceback
 import warnings
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -244,7 +264,8 @@ class SweepStats:
         }
 
 
-#: Payload published to forked workers (set only while a pool is alive).
+#: The fork-time payload ``(qmodel, x, labels, golden, chaos, retry)``,
+#: set in each pool worker by the pool initializer.
 _WORKER_PAYLOAD: tuple | None = None
 
 
@@ -283,27 +304,26 @@ def _evaluate_unit(qmodel, x, labels, config, task: TaskSpec, golden=None):
     )
 
 
-def _attempt_unit(payload: tuple, index: int, attempt: int):
+def _attempt_unit(payload: tuple, item: tuple):
     """One guarded unit attempt: chaos hooks, deadline watchdog, evaluate.
 
     The shared execution core of the serial path and the pool worker:
-    applies the pre-evaluation chaos hooks (slow unit, poison tag,
-    injected error, simulated crash — all pure functions of the unit's
-    key and this attempt number), arms the per-unit deadline watchdog
-    when the retry policy carries one, and classifies any exception
-    transient/permanent for the consumer's retry decision.
+    ``payload`` is the fork-time ``(qmodel, x, labels, golden, chaos,
+    retry)`` and ``item`` the dispatched ``(index, attempt, config, unit,
+    key)``.  Applies the pre-evaluation chaos hooks (slow unit, poison
+    tag, injected error, simulated crash — all pure functions of the
+    unit's key and this attempt number), arms the per-unit deadline
+    watchdog when the retry policy carries one, and classifies any
+    exception transient/permanent for the consumer's retry decision.
     """
-    qmodel, x, labels, config, tasks, golden, keys, chaos, retry = payload
+    qmodel, x, labels, golden, chaos, retry = payload
+    index, attempt, config, unit, key = item
     start = time.perf_counter()
     try:
-        apply_unit_chaos(
-            chaos, keys[index], tasks[index].tag, attempt, allow_exit=False
-        )
+        apply_unit_chaos(chaos, key, unit.tag, attempt, allow_exit=False)
         deadline = retry.deadline if retry is not None else None
-        with unit_deadline(deadline, what=f"unit {keys[index] or index}"):
-            result = _evaluate_unit(
-                qmodel, x, labels, config, tasks[index], golden
-            )
+        with unit_deadline(deadline, what=f"unit {key or index}"):
+            result = _evaluate_unit(qmodel, x, labels, config, unit, golden)
     except Exception as exc:
         result = _UnitFailure(
             message=f"{type(exc).__name__}: {exc}",
@@ -313,14 +333,57 @@ def _attempt_unit(payload: tuple, index: int, attempt: int):
     return index, result, time.perf_counter() - start
 
 
-def _run_task(item: tuple[int, int]):
-    """Evaluate one ``(table index, attempt)`` inside a pool worker.
+def _publish_payload(payload: tuple) -> None:
+    """Pool initializer: bind the fork-time payload in a new worker."""
+    global _WORKER_PAYLOAD
+    _WORKER_PAYLOAD = payload
+
+
+def _run_task(item: tuple):
+    """Evaluate one dispatched item inside a pool worker.
 
     Exceptions come back as :class:`_UnitFailure` results so the parent
     can attach the failing unit's key and tag (see the sentinel's docs).
     """
-    index, attempt = item
-    return _attempt_unit(_WORKER_PAYLOAD, index, attempt)
+    return _attempt_unit(_WORKER_PAYLOAD, item)
+
+
+class _ForkPool:
+    """One engine's fork pool, kept until its fork-time payload changes.
+
+    The pool keeps its initializer arguments — the payload — for its
+    whole life, so a worker it respawns inherits the same payload.
+    :meth:`close` terminates and joins the workers and the pool's
+    handler threads; it is idempotent, and it holds no reference to the
+    engine, so the engine's ``weakref.finalize`` can call it.
+    """
+
+    def __init__(self):
+        self._pool = None
+        self._identity = None
+
+    def get(self, processes: int, payload: tuple):
+        """The live pool for ``payload``, forking a new one if needed.
+
+        The identity is the payload objects themselves (by ``id``; the
+        pool pins them) plus the model's kernel backend, which
+        ``set_kernel_backend`` changes in place.
+        """
+        identity = (processes, payload[0].kernel_backend, *map(id, payload))
+        if self._pool is None or identity != self._identity:
+            self.close()  # never fork while the old pool's threads run
+            self._pool = _fork_context().Pool(
+                processes, initializer=_publish_payload, initargs=(payload,)
+            )
+            self._identity = identity
+        return self._pool
+
+    def close(self) -> None:
+        """Terminate and join the workers (no-op without a pool)."""
+        pool, self._pool, self._identity = self._pool, None, None
+        if pool is not None:
+            pool.terminate()
+            pool.join()
 
 
 class CampaignEngine:
@@ -407,6 +470,11 @@ class CampaignEngine:
         keys or ``campaign_fingerprint``, keeping checkpoints shareable
         across backends.  ``None`` (default) leaves each model's own
         setting untouched.
+
+    The forked pool lives as long as the engine (see *Worker-pool
+    mechanics* in the module docs): call :meth:`close`, or use the
+    engine as a context manager, to terminate and join its workers;
+    dropping the engine does the same.
     """
 
     def __init__(
@@ -488,6 +556,9 @@ class CampaignEngine:
         #: (id(model), id(x), id(labels), max_samples) -> (model_fp,
         #: data_fp, pinned object refs).
         self._fingerprints: dict[tuple, tuple] = {}
+        #: The persistent fork pool, closed when the engine is dropped.
+        self._pool = _ForkPool()
+        weakref.finalize(self, self._pool.close)
         #: golden_key -> GoldenRun, shared across evaluate_tasks calls
         #: (the planner's candidate batches reuse one clean forward).
         #: Holds the *most recent* key only: a GoldenRun pins every
@@ -497,6 +568,16 @@ class CampaignEngine:
         self._golden: dict[str, GoldenRun] = {}
 
     # --- public API --------------------------------------------------------------
+    def close(self) -> None:
+        """Terminate and join the worker pool; a later batch forks anew."""
+        self._pool.close()
+
+    def __enter__(self) -> "CampaignEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def evaluate_tasks(
         self,
         qmodel: QuantizedModel,
@@ -616,10 +697,7 @@ class CampaignEngine:
             and self.backend != BACKEND_DISTRIBUTED
             else None
         )
-        payload = (
-            qmodel, x, labels, config, units, golden,
-            keys, self.chaos, self.retry,
-        )
+        payload = (qmodel, x, labels, golden, self.chaos, self.retry)
 
         def absorb(index: int, result, elapsed: float) -> None:
             """Fold one completed live unit into slots/checkpoint/progress."""
@@ -649,7 +727,7 @@ class CampaignEngine:
         try:
             if pending and self.backend == BACKEND_DISTRIBUTED:
                 for index, result, elapsed in self._run_distributed(
-                    payload, pending, keys
+                    qmodel, x, labels, config, units, pending, keys
                 ):
                     if isinstance(result, _UnitFailure):
                         self._raise_unit_failure(
@@ -826,28 +904,33 @@ class CampaignEngine:
         quarantined: list[tuple[int, _UnitFailure]] = []
         wave = list(pending)
         while wave:
-            items = [(index, attempts[index]) for index in wave]
+            items = [
+                (index, attempts[index], config, units[index], keys[index])
+                for index in wave
+            ]
             runner = (
                 self._run_parallel
-                if self.workers > 1
-                and len(items) > 1
-                and _fork_context() is not None
+                if self.workers > 1 and _fork_context() is not None
                 else self._run_serial
             )
             retry_next: list[int] = []
-            for index, result, elapsed in runner(payload, items):
-                if isinstance(result, _UnitFailure):
-                    if not result.transient:
-                        self._raise_unit_failure(
-                            qmodel, x, labels, config, units, keys, index,
-                            result,
-                        )
-                    if attempts[index] < self.retry.max_attempts:
-                        retry_next.append(index)
-                    else:
-                        quarantined.append((index, result))
-                    continue
-                absorb(index, result, elapsed)
+            outcomes = runner(payload, items)
+            try:
+                for index, result, elapsed in outcomes:
+                    if isinstance(result, _UnitFailure):
+                        if not result.transient:
+                            self._raise_unit_failure(
+                                qmodel, x, labels, config, units, keys, index,
+                                result,
+                            )
+                        if attempts[index] < self.retry.max_attempts:
+                            retry_next.append(index)
+                        else:
+                            quarantined.append((index, result))
+                        continue
+                    absorb(index, result, elapsed)
+            finally:
+                outcomes.close()
             if retry_next:
                 delay = max(
                     self.retry.backoff(attempts[index], keys[index])
@@ -1042,19 +1125,19 @@ class CampaignEngine:
             )
         )
 
-    def _run_serial(self, payload: tuple, items: list[tuple[int, int]]):
+    def _run_serial(self, payload: tuple, items: list[tuple]):
         """In-process executor; failures come back as :class:`_UnitFailure`.
 
         Wrapping the serial path too keeps failure reporting identical
         across ``workers=1``, the pool and the distributed backend: the
         consumer always sees the failing unit's index and raises with
-        its key and tag attached.  ``items`` are ``(table index,
-        attempt)`` pairs, exactly what the pool dispatches.
+        its key and tag attached.  ``items`` are exactly what the pool
+        dispatches.
         """
-        for index, attempt in items:
-            yield _attempt_unit(payload, index, attempt)
+        for item in items:
+            yield _attempt_unit(payload, item)
 
-    def _run_distributed(self, payload: tuple, pending: list[int], keys):
+    def _run_distributed(self, qmodel, x, labels, config, units, pending, keys):
         """Work-queue executor: one batch directory under ``queue_dir``.
 
         Delegates to :func:`repro.runtime.distributed.run_distributed_batch`
@@ -1064,11 +1147,10 @@ class CampaignEngine:
         shard rows are content-keyed, even a recycled directory only ever
         deduplicates work, never corrupts it.  The coordinator does not
         build a golden run — each worker process builds its own, being in
-        another address space — so the payload's golden slot is ignored.
+        another address space.
         """
         from repro.runtime.distributed import run_distributed_batch
 
-        qmodel, x, labels, config, units = payload[:5]
         root = self.queue_dir / f"batch-{os.getpid()}-{self._batch_count:04d}"
         self._batch_count += 1
         yield from run_distributed_batch(
@@ -1087,17 +1169,18 @@ class CampaignEngine:
             chaos=self.chaos,
         )
 
-    def _run_parallel(self, payload: tuple, items: list[tuple[int, int]]):
-        global _WORKER_PAYLOAD
-        ctx = _fork_context()
-        processes = min(self.workers, len(items))
-        # Publish before fork so children inherit by copy-on-write.
-        _WORKER_PAYLOAD = payload
+    def _run_parallel(self, payload: tuple, items: list[tuple]):
+        """Pool executor: one wave on the engine's persistent pool."""
+        pool = self._pool.get(self.workers, payload)
+        finished = False
         try:
-            with ctx.Pool(processes=processes) as pool:
-                yield from pool.imap_unordered(_run_task, items, chunksize=1)
+            yield from pool.imap_unordered(_run_task, items, chunksize=1)
+            finished = True
         finally:
-            _WORKER_PAYLOAD = None
+            if not finished:
+                # Abandoned mid-wave (a permanent failure raised): units
+                # still queued must not run on into the next batch.
+                self._pool.close()
 
 
 def _fork_context():

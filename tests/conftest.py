@@ -7,10 +7,14 @@ regression constants) live in :mod:`tests._helpers`, because a bare
 order).
 
 The fixtures are session-scoped because training even a tiny NumPy network
-takes a few seconds; every consumer treats them as read-only.
+takes a few seconds; every consumer treats them as read-only.  One autouse
+guard fails any test that leaves a ``multiprocessing`` worker running.
 """
 
 from __future__ import annotations
+
+import gc
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -60,6 +64,29 @@ def tiny_quantized(tiny_trained, tiny_dataset):
 def tiny_eval(tiny_dataset):
     """Evaluation split of the tiny dataset."""
     return tiny_dataset.test_x, tiny_dataset.test_y
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Fail a test that leaves a new worker process alive after it returns.
+
+    A campaign engine's fork pool lives until the engine is closed or
+    dropped; an unreachable engine in a reference cycle is only dropped
+    by the collector, hence the ``gc.collect()`` before judging.  Leaked
+    workers are reported, not killed: a pool worker killed from outside
+    can die holding the pool's queue lock and hang every later shutdown
+    of that pool.
+    """
+    before = {child.pid for child in multiprocessing.active_children()}
+
+    def new_children():
+        return [c for c in multiprocessing.active_children() if c.pid not in before]
+
+    yield
+    if new_children():
+        gc.collect()
+    leaked = new_children()
+    assert not leaked, f"test leaked worker process(es): {leaked}"
 
 
 @pytest.fixture()
